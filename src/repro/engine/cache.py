@@ -280,7 +280,7 @@ def from_canonical(job: EnumerationJob, canonical, order: List[Any]) -> tuple:
     """Translate canonical-index structures into ``job``'s own labels."""
     if kind_spec(job.kind).result_shape == "vertex-set":
         # Vertex sets are rendered sorted by repr (matching
-        # iter_structures); paths keep their traversal order.
+        # JobSearch); paths keep their traversal order.
         return tuple(
             tuple(sorted((order[i] for i in s), key=repr)) for s in canonical
         )

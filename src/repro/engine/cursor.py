@@ -2,25 +2,23 @@
 
 A :class:`EnumerationCursor` turns a job into a pull-based stream: take
 the first ``k`` solutions, :meth:`checkpoint` (a small JSON-able dict:
-job spec + delivered offset + a digest of the delivered prefix + — for
-suspendable kinds — a serialized search-state snapshot), persist it
-anywhere, and :meth:`resume` later to receive *exactly* the remaining
-tail — the concatenation of the two passes equals one uninterrupted run.
+job spec + delivered offset + a digest of the delivered prefix + a
+serialized search-state snapshot), persist it anywhere, and
+:meth:`resume` later to receive *exactly* the remaining tail — the
+concatenation of the two passes equals one uninterrupted run.
 
 Resumption cost, in order of preference:
 
-1. **Snapshot resume** (kinds in
-   ``suspendable`` in :mod:`repro.core.capabilities`): the checkpoint embeds
-   the frozen branch-and-bound stack (:mod:`repro.engine.suspend`), so
-   the resumed cursor continues in O(state) — no re-enumeration, no
-   matter how deep the stream position is.
+1. **Snapshot resume**: the checkpoint embeds the frozen
+   branch-and-bound stack (:mod:`repro.engine.suspend`), so the resumed
+   cursor continues in O(state) — no re-enumeration, no matter how deep
+   the stream position is.
 2. **Cache replay**: with a cache attached, delivered prefixes are
    stored on :meth:`checkpoint`, so resuming replays cached solutions
    and only enumerates what was never produced.
-3. **Replay fast-forward** (the fallback, and the only option for
-   replay-only kinds or ``resume_mode="replay"``): re-run the
-   (deterministic) enumerator and discard ``offset`` solutions without
-   rendering them — correct, but O(offset).
+3. **Replay fast-forward** (the fallback, and the only option under
+   ``resume_mode="replay"``): re-run the (deterministic) enumerator and
+   discard ``offset`` solutions — correct, but O(offset).
 
 Every resume is fingerprint-checked: a checkpoint replayed against a
 job whose kind, backend or exact-instance fingerprint differs raises
@@ -37,15 +35,8 @@ import json
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.cache import InstanceCache, job_fingerprint
-from repro.core.capabilities import spec as kind_spec
-from repro.engine.jobs import (
-    BudgetExceeded,
-    EnumerationJob,
-    JobResult,
-    _BudgetMeter,
-    iter_structures,
-    structure_line,
-)
+from repro.engine.jobs import BudgetExceeded, EnumerationJob, JobResult, _BudgetMeter
+from repro.engine.suspend import JobSearch
 from repro.exceptions import CursorStateError, InvalidInstanceError
 
 import time
@@ -86,10 +77,9 @@ class EnumerationCursor:
         Internal — serialized search state to resume from (set by
         :meth:`resume` from the checkpoint's ``snapshot`` field).
     resume_mode:
-        ``"snapshot"`` (default) resumes suspendable kinds from the
-        embedded search-state snapshot; ``"replay"`` forces the
-        fast-forward path (used for benchmarking and as an escape
-        hatch).  Replay-only kinds always fast-forward.
+        ``"snapshot"`` (default) resumes from the embedded
+        search-state snapshot; ``"replay"`` forces the fast-forward
+        path (used for benchmarking and as an escape hatch).
 
     Examples
     --------
@@ -135,7 +125,7 @@ class EnumerationCursor:
         self._snapshot_blob = snapshot
         self._iterator: Optional[Iterator[Tuple[str, Any]]] = None
         self._meter: Optional[_BudgetMeter] = None
-        self._search = None  # live JobSearch (suspendable kinds only)
+        self._search = None  # live JobSearch
         self._dirty = False  # True after a mid-step abort: state unusable
 
     # ------------------------------------------------------------------
@@ -188,9 +178,9 @@ class EnumerationCursor:
         """A JSON-serializable resume token for the current position.
 
         Also stores the delivered prefix into the attached cache so the
-        matching :meth:`resume` costs no re-enumeration, and — for
-        suspendable kinds at a clean suspension point — embeds the
-        serialized search state so :meth:`resume` is O(state).
+        matching :meth:`resume` costs no re-enumeration, and — at a
+        clean suspension point — embeds the serialized search state so
+        :meth:`resume` is O(state).
         """
         self._store_prefix()
         state: Dict[str, Any] = {
@@ -294,7 +284,7 @@ class EnumerationCursor:
         """A :class:`JobSearch` thawed from the resume snapshot.
 
         Returns ``None`` to fall back to replay (no snapshot, replay
-        mode, replay-only kind, or an unreadable/cross-version payload —
+        mode, or an unreadable/cross-version payload —
         replay is always correct).  A snapshot that *identifies* a
         different job — kind, backend or fingerprint mismatch, or a
         position that contradicts the checkpoint offset — raises
@@ -302,14 +292,9 @@ class EnumerationCursor:
         degraded path.
         """
         blob = self._snapshot_blob
-        if (
-            blob is None
-            or self.resume_mode != "snapshot"
-            or not kind_spec(self.job.kind).suspendable
-        ):
+        if blob is None or self.resume_mode != "snapshot":
             return None
         from repro.core.suspend import SnapshotError, read_snapshot_header
-        from repro.engine.suspend import JobSearch
 
         try:
             header = read_snapshot_header(blob)
@@ -446,35 +431,24 @@ class EnumerationCursor:
             # allowance re-skipping the prefix and never make progress
             # across resumes.  With a cache attached the fast-forward is
             # free, so deadline-stopped cursors also progress.
-            suspendable = kind_spec(self.job.kind).suspendable
             deadline_at = (
                 (time.monotonic() + self.job.deadline)
                 if self.job.deadline is not None
                 else None
             )
-            # Machine-driven segments enforce the deadline between
-            # solutions (clean stop, snapshot preserved) instead of
-            # letting the substrate meter abort mid-step.
-            meter = _BudgetMeter(deadline_at=None if suspendable else deadline_at)
+            # The machine enforces the deadline between solutions (clean
+            # stop, snapshot preserved) instead of letting the substrate
+            # meter abort mid-step.
+            meter = _BudgetMeter()
             self._meter = meter
             armed = position == 0
             if armed:
                 meter.budget = self.job.budget
-            if suspendable:
-                # Drive the live segment through the suspendable machine
-                # so checkpoints taken later embed a search snapshot.
-                from repro.engine.suspend import JobSearch
-
-                search = JobSearch(self.job, meter)
-                self._search = search
-                source: Iterator[Tuple[str, Any]] = iter(search)
-            else:
-                source = (
-                    (structure_line(self.job, s), s)
-                    for s in iter_structures(self.job, meter)
-                )
+            # Checkpoints taken later embed this machine's snapshot.
+            search = JobSearch(self.job, meter)
+            self._search = search
             seen = 0
-            for line, structure in source:
+            for line, structure in search:
                 seen += 1
                 if seen <= position:
                     if covered < seen <= start:
@@ -482,11 +456,7 @@ class EnumerationCursor:
                         remember(line, structure)
                         if seen == start:
                             check_prefix()
-                    if (
-                        suspendable
-                        and deadline_at is not None
-                        and time.monotonic() > deadline_at
-                    ):
+                    if deadline_at is not None and time.monotonic() > deadline_at:
                         raise _CleanStop("deadline")
                     continue
                 if not armed:
@@ -494,11 +464,7 @@ class EnumerationCursor:
                     if self.job.budget is not None:
                         meter.budget = meter.count + self.job.budget
                 yield line, structure
-                if (
-                    suspendable
-                    and deadline_at is not None
-                    and time.monotonic() > deadline_at
-                ):
+                if deadline_at is not None and time.monotonic() > deadline_at:
                     raise _CleanStop("deadline")
             if seen < start:
                 # The enumeration ended before reaching the checkpoint
@@ -512,7 +478,7 @@ class EnumerationCursor:
     # ------------------------------------------------------------------
     def _current_snapshot(self) -> Optional[bytes]:
         """The search-state blob for :meth:`checkpoint`, if sound."""
-        if not kind_spec(self.job.kind).suspendable or self._dirty:
+        if self._dirty:
             return None
         if self._search is not None and self._search.emitted == self.offset:
             return self._search.snapshot()

@@ -39,7 +39,6 @@ from typing import (
     Any,
     Dict,
     Hashable,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -131,6 +130,18 @@ class _BudgetMeter(CostMeter):
             self._until_check = self._CHECK_EVERY
             if self.deadline_at is not None and time.monotonic() > self.deadline_at:
                 raise BudgetExceeded("deadline")
+
+
+def _label(value):
+    """A vertex label read from JSON: arrays become (nested) tuples.
+
+    JSON has no tuples, so a tuple label such as ``("w", 3)`` comes back
+    from :meth:`EnumerationJob.to_dict` as a list — unhashable, and with
+    a ``repr`` that would sort differently from the in-process label.
+    """
+    if isinstance(value, list):
+        return tuple(map(_label, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -396,12 +407,21 @@ class EnumerationJob:
                 raise InvalidInstanceError(f"unknown job field {key!r}")
             kwargs[name] = value
         try:
-            kwargs["edges"] = tuple((u, v) for u, v in kwargs.get("edges", ()))
-            for key in ("vertices", "terminals", "keywords"):
+            kwargs["edges"] = tuple(
+                (_label(u), _label(v)) for u, v in kwargs.get("edges", ())
+            )
+            for key in ("vertices", "terminals"):
                 if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
+                    kwargs[key] = tuple(map(_label, kwargs[key]))
+            for key in ("root", "source", "target"):
+                if key in kwargs:
+                    kwargs[key] = _label(kwargs[key])
+            if "keywords" in kwargs:
+                kwargs["keywords"] = tuple(kwargs["keywords"])
             if "families" in kwargs:
-                kwargs["families"] = tuple(tuple(f) for f in kwargs["families"])
+                kwargs["families"] = tuple(
+                    tuple(map(_label, f)) for f in kwargs["families"]
+                )
             if "node_keywords" in kwargs:
                 table = kwargs["node_keywords"]
                 if isinstance(table, dict):
@@ -409,7 +429,7 @@ class EnumerationJob:
                 else:
                     items = [(node, kws) for node, kws in table]
                 kwargs["node_keywords"] = tuple(
-                    (node, tuple(kws)) for node, kws in items
+                    (_label(node), tuple(kws)) for node, kws in items
                 )
         except (TypeError, ValueError) as exc:
             raise InvalidInstanceError(f"malformed job spec: {exc}") from exc
@@ -594,114 +614,8 @@ def solution_edge_structure(job: EnumerationJob, eids) -> tuple:
     return tuple(sorted(pairs, key=lambda p: (repr(p[0]), repr(p[1]))))
 
 
-def _render_fragment(job: EnumerationJob, labels, fragment) -> str:
-    """Deterministic one-line rendering of a keyword-search fragment."""
-    pairs = sorted(
-        "{}-{}".format(*sorted(map(str, job.edges[e])))
-        for e in fragment.structural_edges
-    )
-    edges = " ".join(pairs) if pairs else "(single node)"
-    matches = ",".join(f"{kw}={labels[node]}" for kw, node in fragment.matches)
-    return f"[{fragment.size}] {edges} | {matches}"
-
-
-def iter_structures(job: EnumerationJob, meter: Optional[CostMeter] = None) -> Iterator:
-    """Drive the solver for ``job``, yielding label-level structures.
-
-    The solver runs on the integer-indexed instance (see
-    :meth:`EnumerationJob.instantiate_indexed`) so the solution order is
-    identical in every process; yields are translated back to the job's
-    own labels.  For ``kfragments`` jobs the yields are pre-rendered
-    lines (fragments carry match metadata that does not survive
-    relabeling, so the cache never translates them).
-    """
-    job.validate()
-    instance, labels, raw_index = job.instantiate_indexed()
-
-    class _QueryIndex(dict):
-        """index_of with instance-membership errors instead of KeyErrors."""
-
-        def __missing__(self, vertex):
-            raise InvalidInstanceError(
-                f"query vertex {vertex!r} is not in the instance"
-            )
-
-    index_of = _QueryIndex(raw_index)
-    backend = job.backend
-    if job.kind == "steiner-tree":
-        from repro.core.steiner_tree import enumerate_minimal_steiner_trees
-
-        for sol in enumerate_minimal_steiner_trees(
-            instance, [index_of[t] for t in job.terminals], meter=meter,
-            backend=backend,
-        ):
-            yield solution_edge_structure(job, sol)
-    elif job.kind == "steiner-forest":
-        from repro.core.steiner_forest import enumerate_minimal_steiner_forests
-
-        for sol in enumerate_minimal_steiner_forests(
-            instance,
-            [[index_of[t] for t in f] for f in job.families],
-            meter=meter,
-            backend=backend,
-        ):
-            yield solution_edge_structure(job, sol)
-    elif job.kind == "terminal-steiner":
-        from repro.core.terminal_steiner import enumerate_minimal_terminal_steiner_trees
-
-        for sol in enumerate_minimal_terminal_steiner_trees(
-            instance, [index_of[t] for t in job.terminals], meter=meter,
-            backend=backend,
-        ):
-            yield solution_edge_structure(job, sol)
-    elif job.kind == "directed-steiner":
-        from repro.core.directed_steiner import enumerate_minimal_directed_steiner_trees
-
-        for sol in enumerate_minimal_directed_steiner_trees(
-            instance,
-            [index_of[t] for t in job.terminals],
-            index_of[job.root],
-            meter=meter,
-            backend=backend,
-        ):
-            yield solution_edge_structure(job, sol)
-    elif job.kind == "induced-steiner":
-        from repro.core.induced_steiner import enumerate_minimal_induced_steiner_subgraphs
-
-        for sol in enumerate_minimal_induced_steiner_subgraphs(
-            instance, [index_of[t] for t in job.terminals], meter=meter,
-            backend=backend,
-        ):
-            yield tuple(sorted((labels[v] for v in sol), key=repr))
-    elif job.kind == "chordless-path":
-        from repro.core.induced_paths import enumerate_chordless_st_paths
-
-        for path in enumerate_chordless_st_paths(
-            instance, index_of[job.source], index_of[job.target], meter=meter,
-            backend=backend,
-        ):
-            yield tuple(labels[v] for v in path)
-    elif job.kind == "st-path":
-        from repro.paths.read_tarjan import enumerate_st_paths_undirected
-
-        for path in enumerate_st_paths_undirected(
-            instance, index_of[job.source], index_of[job.target], meter=meter,
-            backend=backend,
-        ):
-            yield tuple(labels[v] for v in path.vertices)
-    elif job.kind == "kfragments":
-        from repro.datagraph.kfragments import undirected_kfragments
-
-        for fragment in undirected_kfragments(
-            instance, list(job.keywords), meter=meter, backend=backend
-        ):
-            yield _render_fragment(job, labels, fragment)
-    else:  # pragma: no cover - validate() rejects unknown kinds
-        raise InvalidInstanceError(f"unhandled job kind {job.kind!r}")
-
-
 def structure_line(job: EnumerationJob, structure) -> str:
-    """Render one structure yielded by :func:`iter_structures` for ``job``."""
+    """Render one label-level structure of ``job`` as its text line."""
     if job.kind == "kfragments":
         return structure
     return render_structure(job.kind, structure)
@@ -710,100 +624,67 @@ def structure_line(job: EnumerationJob, structure) -> str:
 def run_job(job: EnumerationJob, resume: Optional[bytes] = None) -> JobResult:
     """Execute ``job`` to its limit/deadline/budget; never raises on overrun.
 
-    Suspendable kinds (``suspendable`` in the capability registry,
-    :mod:`repro.core.capabilities`) run on their search
-    machine: a run stopped cleanly (limit reached, or the deadline
-    observed between solutions) carries a search-state ``snapshot`` in
-    its result, and passing that blob back as ``resume`` continues the
-    stream where it stopped — the job's ``limit`` always bounds the
-    *total* stream position, resumed segments included.  A run aborted
-    mid-step (op budget / deadline tripped inside the substrate) has no
-    clean machine state and returns no snapshot; such streams resume by
-    replay.  ``resume`` for a replay-only kind raises
-    :class:`InvalidInstanceError`.
+    Every kind runs on its search machine
+    (:class:`repro.engine.suspend.JobSearch`): a run stopped cleanly
+    (limit reached, or the deadline observed between solutions) carries
+    a search-state ``snapshot`` in its result, and passing that blob
+    back as ``resume`` continues the stream where it stopped — the
+    job's ``limit`` always bounds the *total* stream position, resumed
+    segments included.  A run aborted mid-step (op budget tripped inside
+    the substrate) has no clean machine state and returns no snapshot;
+    such streams resume by replay.
     """
+    from repro.engine.suspend import JobSearch
+
     start = time.perf_counter()
     deadline_at = (
         (time.monotonic() + job.deadline) if job.deadline is not None else None
     )
-    meter = _BudgetMeter(budget=job.budget, deadline_at=deadline_at)
+    # The deadline is enforced between solutions — a clean suspension
+    # point, so the stop keeps its snapshot — instead of letting the
+    # substrate meter abort mid-step.
+    meter = _BudgetMeter(budget=job.budget)
+    lines: List[str] = []
     structures: List[Any] = []
     stop_reason: Optional[str] = None
     exhausted = False
     snapshot_out: Optional[bytes] = None
-    if kind_spec(job.kind).suspendable:
-        from repro.engine.suspend import JobSearch
-
-        # Machine-driven runs enforce the deadline between solutions —
-        # a clean suspension point, so the stop keeps its snapshot —
-        # instead of letting the substrate meter abort mid-step.
-        meter.deadline_at = None
-        lines_list: List[str] = []
-        search = (
-            JobSearch.restore(job, resume, meter)
-            if resume is not None
-            else JobSearch(job, meter)
-        )
-        remaining = (
-            None if job.limit is None else max(0, job.limit - search.emitted)
-        )
-        clean = True
-        try:
-            while True:
-                if remaining is not None and len(structures) >= remaining:
-                    stop_reason = "limit"
-                    break
-                pair = search.next()
-                if pair is None:
-                    exhausted = True
-                    break
-                line, structure = pair
-                lines_list.append(line)
-                structures.append(structure)
-                # Limit before deadline, matching the replay-only branch:
-                # reaching the cap reports "limit" even when the clock
-                # has also just run out.
-                if remaining is not None and len(structures) >= remaining:
-                    stop_reason = "limit"
-                    break
-                if deadline_at is not None and time.monotonic() > deadline_at:
-                    stop_reason = "deadline"
-                    break
-        except BudgetExceeded as exc:
-            stop_reason = exc.reason
-            clean = False  # the machine state is mid-step: not resumable
-        if not exhausted and clean:
-            snapshot_out = search.snapshot()
-        lines = tuple(lines_list)
-    else:
-        if resume is not None:
-            raise InvalidInstanceError(
-                f"job kind {job.kind!r} is replay-only (no snapshot resume)"
-            )
-        if job.limit == 0:
-            stop_reason = "limit"
-        else:
-            try:
-                for structure in iter_structures(job, meter):
-                    structures.append(structure)
-                    if job.limit is not None and len(structures) >= job.limit:
-                        stop_reason = "limit"
-                        break
-                    if (
-                        meter.deadline_at is not None
-                        and time.monotonic() > meter.deadline_at
-                    ):
-                        stop_reason = "deadline"
-                        break
-                else:
-                    exhausted = True
-            except BudgetExceeded as exc:
-                stop_reason = exc.reason
-        lines = tuple(structure_line(job, s) for s in structures)
+    search = (
+        JobSearch.restore(job, resume, meter)
+        if resume is not None
+        else JobSearch(job, meter)
+    )
+    remaining = None if job.limit is None else max(0, job.limit - search.emitted)
+    clean = True
+    try:
+        while True:
+            if remaining is not None and len(structures) >= remaining:
+                stop_reason = "limit"
+                break
+            pair = search.next()
+            if pair is None:
+                exhausted = True
+                break
+            line, structure = pair
+            lines.append(line)
+            structures.append(structure)
+            # Limit before deadline: reaching the cap reports "limit"
+            # even when the clock has also just run out.
+            if remaining is not None and len(structures) >= remaining:
+                stop_reason = "limit"
+                break
+            if deadline_at is not None and time.monotonic() > deadline_at:
+                stop_reason = "deadline"
+                break
+    except BudgetExceeded as exc:
+        stop_reason = exc.reason
+        clean = False  # the machine state is mid-step: not resumable
+    if not exhausted and clean:
+        snapshot_out = search.snapshot()
     return JobResult(
         job_id=job.job_id,
         kind=job.kind,
-        lines=lines,
+        lines=tuple(lines),
         exhausted=exhausted,
         stop_reason=stop_reason,
         elapsed=time.perf_counter() - start,

@@ -1,10 +1,10 @@
 """Job-level suspendable streams: O(state) resume instead of O(offset).
 
 :class:`JobSearch` adapts the suspendable core machines
-(:mod:`repro.core.suspend`) to the engine's job vocabulary: it produces
-the same ``(line, structure)`` stream as
-:func:`repro.engine.jobs.iter_structures` for the kinds in
-:data:`repro.engine.jobs.SUSPENDABLE_KINDS`, and adds
+(:mod:`repro.core.suspend`) to the engine's job vocabulary: it is the
+one renderer of every kind's ``(line, structure)`` stream — what
+:func:`repro.engine.jobs.run_job`, the cursor, the batch pool and the
+serve workers all drain — and adds
 :meth:`JobSearch.snapshot` / :meth:`JobSearch.restore` — a serialized
 search-state blob bound to the job's exact-instance fingerprint
 (:func:`repro.engine.cache.job_fingerprint`) and backend.
@@ -24,6 +24,7 @@ machine state; those resume by replay fast-forward instead.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.core.suspend import (
@@ -34,15 +35,12 @@ from repro.core.suspend import (
 )
 from repro.engine.cache import job_fingerprint
 from repro.core.capabilities import kinds_where, spec as kind_spec
-from repro.engine.jobs import (
-    EnumerationJob,
-    _render_fragment,
-    solution_edge_structure,
-    structure_line,
-)
+from repro.engine.jobs import EnumerationJob
 from repro.exceptions import CursorStateError, InvalidInstanceError
 
 from repro.enumeration.events import SOLUTION
+
+_row_key = itemgetter(0)
 
 
 def supports_snapshot(job_or_kind) -> bool:
@@ -88,10 +86,11 @@ def snapshot_usable(
 class JobSearch:
     """A suspendable ``(line, structure)`` stream for one job.
 
-    The stream is byte-identical to
-    :func:`repro.engine.jobs.iter_structures` on the same job (both
-    backends); :meth:`next` returns one pair at a time, ``None`` at
-    exhaustion.  ``emitted`` counts the absolute stream position —
+    Every backend yields the same byte-identical stream: the lines
+    :func:`repro.engine.jobs.render_structure` gives for the label-level
+    structures (:func:`repro.engine.jobs.solution_edge_structure` for
+    edge and arc sets); :meth:`next` returns one pair at a time, ``None``
+    at exhaustion.  ``emitted`` counts the absolute stream position —
     solutions produced across every suspended segment — so a snapshot's
     position always matches the cursor offset it was checkpointed with.
     """
@@ -192,6 +191,7 @@ class JobSearch:
         self.meter = meter
         self.fingerprint = job_fingerprint(job)
         self.emitted = 0
+        self._table: Dict[int, Any] = {}
         instance, labels, index_of = job.instantiate_indexed()
         self.labels = labels
         self._instance = instance
@@ -236,8 +236,8 @@ class JobSearch:
     # ------------------------------------------------------------------
     def next(self) -> Optional[Tuple[str, Any]]:
         """The next ``(line, structure)`` pair, or ``None`` at the end."""
-        job = self.job
-        kind = job.kind
+        kind = self.job.kind
+        structure: Any  # a tuple, or the line itself for kfragments
         if kind in (
             "steiner-tree",
             "terminal-steiner",
@@ -249,32 +249,90 @@ class JobSearch:
                 if event is None:
                     return None
                 if event[0] == SOLUTION:
-                    structure = solution_edge_structure(job, event[1])
                     break
+            line, structure = self._sorted_rows(
+                event[1], self._edge_row, "(single-vertex tree)"
+            )
         elif kind == "induced-steiner":
             solution = self._machine.advance()
             if solution is None:
                 return None
-            structure = tuple(
-                sorted((self.labels[v] for v in solution), key=repr)
-            )
-        elif kind == "chordless-path":
-            path = self._machine.advance()
-            if path is None:
-                return None
-            structure = tuple(self.labels[v] for v in path)
-        elif kind == "st-path":
-            path = self._machine.next_path()
-            if path is None:
-                return None
-            structure = tuple(self.labels[v] for v in path.vertices)
-        else:  # kfragments
+            line, structure = self._sorted_rows(solution, self._vertex_row, "")
+        elif kind == "kfragments":
             fragment = self._machine.advance()
             if fragment is None:
                 return None
-            structure = _render_fragment(job, self.labels, fragment)
+            texts = sorted(self._rows(fragment.structural_edges, self._fragment_text))
+            edges = " ".join(texts) if texts else "(single node)"
+            matches = ",".join(
+                f"{kw}={self.labels[node]}" for kw, node in fragment.matches
+            )
+            line = structure = f"[{fragment.size}] {edges} | {matches}"
+        else:  # path kinds
+            if kind == "st-path":
+                path = self._machine.next_path()
+                vertices = None if path is None else path.vertices
+            else:
+                vertices = self._machine.advance()
+            if vertices is None:
+                return None
+            labels = self.labels
+            structure = tuple([labels[v] for v in vertices])
+            line = "->".join(self._rows(vertices, self._vertex_text))
         self.emitted += 1
-        return structure_line(job, structure), structure
+        return line, structure
+
+    # ------------------------------------------------------------------
+    # rendering tables
+    # ------------------------------------------------------------------
+    # Each job renders through one table keyed by edge id or vertex index
+    # and filled the first time that id appears in a solution, so a
+    # solution costs dict lookups plus one sort on stored keys instead of
+    # a repr()/str() per label.  Nothing is built up front (no pass over
+    # all m edges per job) and the table never enters a snapshot.
+    def _rows(self, ids, make) -> list:
+        """The table rows of ``ids`` in order, filling misses via ``make``."""
+        table = self._table
+        try:
+            return [table[i] for i in ids]
+        except KeyError:
+            rows = []
+            for i in ids:
+                row = table.get(i)
+                if row is None:
+                    row = table[i] = make(i)
+                rows.append(row)
+            return rows
+
+    def _sorted_rows(self, ids, make, empty: str) -> Tuple[str, tuple]:
+        """``(line, structure)`` of a set solution: rows sorted by key.
+
+        The sort is stable over the solution's own iteration order, so
+        it matches a per-solution ``sorted(..., key=repr)`` exactly.
+        """
+        rows = self._rows(ids, make)
+        rows.sort(key=_row_key)
+        line = " ".join([row[2] for row in rows]) if rows else empty
+        return line, tuple([row[1] for row in rows])
+
+    def _edge_row(self, e: int) -> Tuple[Tuple[str, str], Any, str]:
+        """``(sort key, oriented label pair, text)`` of edge/arc ``e``."""
+        if self.job.is_directed:
+            a, b = pair = self.job.edges[e]
+            return (repr(a), repr(b)), pair, f"{a}->{b}"
+        a, b = pair = tuple(sorted(self.job.edges[e], key=repr))
+        return (repr(a), repr(b)), pair, f"{a}-{b}"
+
+    def _vertex_row(self, v: int) -> Tuple[str, Any, str]:
+        """``(sort key, label, text)`` of vertex index ``v``."""
+        label = self.labels[v]
+        return repr(label), label, str(label)
+
+    def _vertex_text(self, v: int) -> str:
+        return str(self.labels[v])
+
+    def _fragment_text(self, e: int) -> str:
+        return "{}-{}".format(*sorted(map(str, self.job.edges[e])))
 
     def __iter__(self) -> Iterator[Tuple[str, Any]]:
         while True:

@@ -24,17 +24,16 @@ pending chunk with ``cancel`` instead of ``more`` and the worker
 abandons the enumeration and returns to its idle loop, ready for the
 next job — no process churn.
 
-Resumable streams: for suspendable kinds
-(``suspendable`` in :mod:`repro.core.capabilities`) the ``run`` message may
-carry a serialized search-state ``snapshot``
-(:mod:`repro.engine.suspend`) — the worker thaws it and continues in
-O(state) instead of fast-forwarding, and every ``chunk`` (plus the
-clean-``end`` meta) carries a fresh snapshot of the state *after* that
-chunk, which is what lets the server checkpoint streams for O(state)
-resume and transparently replace a crashed worker mid-stream.  Without
-a snapshot (or for replay-only kinds) ``offset`` fast-forwards past the
-first ``offset`` solutions of the (deterministic) enumeration without
-rendering them.  The execution envelope carries over from
+Resumable streams: every kind runs on its search machine
+(:class:`repro.engine.suspend.JobSearch`), so the ``run`` message may
+carry a serialized search-state ``snapshot`` — the worker thaws it and
+continues in O(state) instead of fast-forwarding, and every ``chunk``
+(plus the clean-``end`` meta) carries a fresh snapshot of the state
+*after* that chunk, which is what lets the server checkpoint streams
+for O(state) resume and transparently replace a crashed worker
+mid-stream.  Without a usable snapshot ``offset`` fast-forwards past
+the first ``offset`` solutions of the (deterministic) enumeration
+without delivering them.  The execution envelope carries over from
 :mod:`repro.engine.jobs`: the job's ``deadline`` bounds the live
 segment's wall clock (fast-forward included) and its op ``budget`` arms
 when delivery begins, exactly like
@@ -53,14 +52,8 @@ import os
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.capabilities import spec as kind_spec
-from repro.engine.jobs import (
-    BudgetExceeded,
-    EnumerationJob,
-    _BudgetMeter,
-    iter_structures,
-    structure_line,
-)
+from repro.engine.jobs import BudgetExceeded, EnumerationJob, _BudgetMeter
+from repro.engine.suspend import JobSearch
 
 #: Default number of solutions per streamed chunk.
 DEFAULT_CHUNK = 64
@@ -82,7 +75,7 @@ def _stream_job(
     error: Optional[str] = None
     buf_lines: list = []
     buf_structures: list = []
-    search = None  # suspendable machine (when the kind supports one)
+    search = None  # the job's search machine, once built
     clean = True  # False after a mid-step abort: snapshot unusable
     last_snap: list = [None, -1]  # [blob, emitted position] from flush()
 
@@ -121,9 +114,7 @@ def _stream_job(
             meter.budget = job.budget
         if remaining == 0:
             stop_reason = "limit"
-        elif kind_spec(job.kind).suspendable:
-            from repro.engine.suspend import JobSearch
-
+        else:
             # Machine-driven streams enforce the deadline between
             # solutions — a clean suspension point, so deadline stops
             # keep their snapshot — instead of letting the substrate
@@ -189,31 +180,6 @@ def _stream_job(
                 error = "stream offset exceeds the job's solution stream"
                 exhausted = False
                 stop_reason = "error"
-        else:
-            seen = 0
-            for structure in iter_structures(job, meter):
-                seen += 1
-                if seen <= offset:
-                    continue  # fast-forward: deterministic order, skip cheaply
-                if not armed:
-                    armed = True
-                    if job.budget is not None:
-                        meter.budget = meter.count + job.budget
-                buf_lines.append(structure_line(job, structure))
-                buf_structures.append(structure)
-                delivered += 1
-                if remaining is not None and delivered >= remaining:
-                    stop_reason = "limit"
-                    break
-                if len(buf_lines) >= chunk:
-                    if not flush():
-                        break
-            else:
-                exhausted = True
-            if seen < offset and exhausted:
-                error = "stream offset exceeds the job's solution stream"
-                exhausted = False
-                stop_reason = "error"
     except BudgetExceeded as exc:
         stop_reason = exc.reason
     except Exception as exc:  # noqa: BLE001 — a bad job must not kill the worker
@@ -257,8 +223,14 @@ def _stream_job(
         return  # the parent went away; the idle loop will see EOF too
 
 
-def _worker_main(conn) -> None:
-    """Worker process loop: serve ``run`` requests until ``quit``/EOF."""
+def _worker_main(conn, parent_end) -> None:
+    """Worker process loop: serve ``run`` requests until ``quit``/EOF.
+
+    A forked worker inherits the parent's end of its own pipe; closing
+    it here is what makes the parent's death read as EOF, so workers
+    exit with a killed server instead of outliving it.
+    """
+    parent_end.close()
     while True:
         try:
             msg = conn.recv()
@@ -286,7 +258,9 @@ class WorkerHandle:
         self.arena = arena
         parent, child = ctx.Pipe(duplex=True)
         self.conn = parent
-        self.process = ctx.Process(target=_worker_main, args=(child,), daemon=True)
+        self.process = ctx.Process(
+            target=_worker_main, args=(child, parent), daemon=True
+        )
         self.process.start()
         child.close()
         self.failed = False

@@ -28,6 +28,7 @@ import random
 import time
 from typing import Dict, List, Optional
 
+from conftest import child_pids, reap
 from repro.serve.client import ServeClient
 from repro.serve.fleet import (
     FleetRouter,
@@ -124,9 +125,9 @@ class FleetHarness:
         return self
 
     def stop(self) -> None:
-        """Kill every replica and stop the router."""
+        """Kill every replica (and reap its workers), then stop the router."""
         for proc in self.replicas.values():
-            proc.kill()
+            _kill_and_reap(proc)
         self.replicas.clear()
         if self._thread is not None:
             self._thread.stop()
@@ -207,7 +208,7 @@ class FleetHarness:
         assert running, self.note("no running replica to kill")
         if name is None:
             name = self.rng.choice(running)
-        self.replicas[name].kill()
+        _kill_and_reap(self.replicas[name])
         return name
 
     def restart_router(self) -> int:
@@ -255,3 +256,10 @@ class FleetHarness:
                 f"no checkpoint for {stream_id!r} within {timeout:g}s"
             )
             time.sleep(0.01)
+
+
+def _kill_and_reap(proc: ReplicaProcess) -> None:
+    """SIGKILL a replica, then wait out its orphaned serve workers."""
+    workers = child_pids(proc.pid) if proc.running else []
+    proc.kill()
+    assert not reap(workers), f"serve workers outlived replica {proc.name!r}"

@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
+import time
+import uuid
 from typing import List, NamedTuple, Optional
 
 import pytest
@@ -13,6 +16,94 @@ from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+
+# ----------------------------------------------------------------------
+# process hygiene: no `repro serve` process may outlive the session
+# ----------------------------------------------------------------------
+#: Environment tag inherited by every process the suite starts (servers,
+#: fleet replicas and their forked workers), so the leak check below
+#: only ever counts this session's processes.
+SESSION_TAG = "REPRO_TEST_SESSION"
+
+
+def _proc_file(pid: int, name: str) -> bytes:
+    try:
+        with open(f"/proc/{pid}/{name}", "rb") as handle:
+            return handle.read()
+    except OSError:
+        return b""
+
+
+def serve_pids() -> List[int]:
+    """Live ``repro serve`` processes started by this test session."""
+    if not os.path.isdir("/proc"):
+        return []
+    tag = f"{SESSION_TAG}={os.environ.get(SESSION_TAG, '')}".encode()
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        argv = _proc_file(int(entry), "cmdline").split(b"\0")
+        serving = any(
+            a == b"repro" and b == b"serve" for a, b in zip(argv, argv[1:])
+        )
+        if serving and tag in _proc_file(int(entry), "environ").split(b"\0"):
+            pids.append(int(entry))
+    return sorted(pids)
+
+
+def child_pids(pid: int) -> List[int]:
+    """Direct children of ``pid`` (read from ``/proc``; [] elsewhere)."""
+    if not os.path.isdir("/proc"):
+        return []
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_file(int(entry), "stat")
+            fields = stat.rsplit(b")", 1)[-1].split()
+            if len(fields) > 1 and int(fields[1]) == pid:
+                children.append(int(entry))
+    return children
+
+
+def reap(pids, timeout: float = 5.0) -> List[int]:
+    """Wait for ``pids`` to exit; SIGKILL and return the ones that did not."""
+    deadline = time.monotonic() + timeout
+    alive = list(pids)
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [p for p in alive if _running(p)]
+    for pid in alive:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+    return alive
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_file(pid, "stat")
+    return bool(stat) and stat.rsplit(b")", 1)[-1].split()[0] != b"Z"
+
+
+def pytest_configure(config) -> None:
+    # xdist workers inherit the controller's tag, so one session = one tag.
+    os.environ.setdefault(SESSION_TAG, uuid.uuid4().hex)
+
+
+def pytest_sessionfinish(session, exitstatus) -> None:
+    """Fail the run, listing pids, when a ``repro serve`` process leaked."""
+    if hasattr(session.config, "workerinput"):
+        return  # an xdist worker: the controller checks after all of them
+    leaked = reap(serve_pids())
+    if leaked:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.ensure_newline()
+            reporter.write_line(
+                f"leaked `repro serve` processes (killed): {leaked}", red=True
+            )
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 class CorpusCase(NamedTuple):

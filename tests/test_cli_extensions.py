@@ -233,8 +233,13 @@ class TestServeClientCLI:
                     time.sleep(0.05)
             yield port
         finally:
+            from conftest import child_pids, reap
+
+            workers = child_pids(proc.pid)
             proc.terminate()
             proc.wait(timeout=20)
+            proc.stderr.close()
+            assert not reap(workers), "serve workers outlived the server"
 
     def test_client_streams_solution_lines(self, tmp_path, server_proc):
         jobs = tmp_path / "jobs.jsonl"
